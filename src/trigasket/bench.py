@@ -1,5 +1,5 @@
 """Timing comparisons: closed-form distance against breadth-first search,
-and the compiled kernel against its pure-Python twin."""
+and the public call against the distance kernel on pre-encoded input."""
 
 from __future__ import annotations
 
@@ -18,10 +18,8 @@ class BenchResult:
     level: int
     pairs: int
     seed: int
-    backend: str
     closed_seconds: float
-    python_kernel_seconds: float
-    compiled_kernel_seconds: float | None
+    kernel_seconds: float
     bfs_seconds: float | None
     speedup: float | None
     all_match: bool | None
@@ -49,15 +47,8 @@ def run_bench(level: int, pairs: int, seed: int = 1,
     encoded = [(kernels.encode(x), kernels.encode(y)) for x, y in sample]
     t0 = perf_counter()
     for a, b in encoded:
-        kernels.PYTHON.pair_distance(a, b)
-    python_s = perf_counter() - t0
-
-    compiled_s = None
-    if kernels.HAVE_COMPILED and level <= kernels.COMPILED_LEVEL_CAP:
-        t0 = perf_counter()
-        for a, b in encoded:
-            kernels.COMPILED.pair_distance(a, b)
-        compiled_s = perf_counter() - t0
+        kernels.pair_distance(a, b)
+    kernel_s = perf_counter() - t0
 
     bfs_s = None
     speedup = None
@@ -71,7 +62,5 @@ def run_bench(level: int, pairs: int, seed: int = 1,
         speedup = bfs_s / max(closed_s, 1e-9)
 
     return BenchResult(level=level, pairs=pairs, seed=seed,
-                       backend=kernels.BACKEND, closed_seconds=closed_s,
-                       python_kernel_seconds=python_s,
-                       compiled_kernel_seconds=compiled_s,
+                       closed_seconds=closed_s, kernel_seconds=kernel_s,
                        bfs_seconds=bfs_s, speedup=speedup, all_match=match)

@@ -2,8 +2,8 @@
 
 Two graphs coincide exactly when some relabelling of the three letters
 makes the words agree from some index on, so the decision reduces to six
-permutations checked over one aligned period.  The finite-level multiset
-search and the degree-2 census give independent cross-checks.
+permutations checked over one aligned period.  The degree-2 census gives
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -11,15 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .gasket import DEFAULT_ORACLE_CAP, degree_in_limit
-from .metric import corner_distances
+from .gasket import degree_in_limit
 from .word import (
     LETTERS,
     PERMUTATIONS,
-    DomainError,
     Permutation,
     WordSpec,
-    all_vertices,
     apply_permutation,
     as_word,
     cofinal_up_to_permutation,
@@ -67,31 +64,3 @@ def decide_iso(v: WordSpec | str, w: WordSpec | str) -> IsoVerdict:
         record.append((str(sigma), first))
     return IsoVerdict(False, census=census, exhausted=tuple(record))
 
-
-def finite_level_check(v: WordSpec | str, w: WordSpec | str, n: int,
-                       max_level: int = DEFAULT_ORACLE_CAP) -> bool:
-    """Search level n for a vertex pair whose corner-distance multisets
-    coincide at every level k <= n.
-
-    One-sided: isomorphic words must pass at every n, and a failure at any
-    n would certify non-isomorphism.  The unmarked finite levels carry the
-    same vertex set for every word, so in practice the search succeeds and
-    refutations come from `decide_iso` or the census.
-    """
-    as_word(v)
-    as_word(w)
-    if n < 1:
-        raise DomainError("level must be >= 1")
-    if n > max_level:
-        raise DomainError(f"scale cap exceeded: level {n} above cap {max_level}")
-    groups: dict[tuple[int, int, int], list[str]] = {}
-    for x in all_vertices(n):
-        groups.setdefault(corner_distances(x).as_multiset(), []).append(x)
-    for xs in groups.values():
-        for x in xs:
-            for y in xs:
-                if all(corner_distances(x[:k]).as_multiset() ==
-                       corner_distances(y[:k]).as_multiset()
-                       for k in range(1, n + 1)):
-                    return True
-    return False

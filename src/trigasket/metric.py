@@ -6,7 +6,8 @@ shortest path between different top-level copies crosses either their one
 shared corner or the third copy between its two shared corners.  Both are
 validated exhaustively against the breadth-first oracle in `gasket`.
 
-All results are exact integers computed in O(level).
+All results are exact integers, computed on whole-address bitmasks by
+`kernels`.
 """
 
 from __future__ import annotations
@@ -49,14 +50,11 @@ class CornerTriple(NamedTuple):
 def corner_distances(x: str) -> CornerTriple:
     """Closed-form corner distances; identical for both spellings of x."""
     dl, dr, du = kernels.corner_triple(kernels.encode(x))
-    return CornerTriple(du=du, dl=dl, dr=dr)
+    return CornerTriple(du, dl, dr)
 
 
 def distance(x: str, y: str) -> int:
     """Shortest-path length between two same-level addresses."""
-    if len(x) != len(y):
-        raise DomainError(
-            f"levels differ: {x!r} is level {len(x)}, {y!r} is level {len(y)}")
     return kernels.pair_distance(kernels.encode(x), kernels.encode(y))
 
 

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from trigasket.cli import main
+from trigasket.metric import corner_distances, distance
+from trigasket.word import DomainError
 
 
 def run(capsys, *argv):
@@ -40,6 +42,23 @@ def test_bad_letter_reports_the_token(capsys):
     code, _, err = run(capsys, "corners", "lxu")
     assert code == 1
     assert "'x'" in err
+
+
+@pytest.mark.parametrize("word", ["", "l0r", "l1r", "l_r", " lr", "lr\n", "+lr", "0b1",
+                                  "l\u0661r", "lxr", "LRU", "\u00e9", "\ud800"])
+def test_non_addresses_are_domain_errors_everywhere(capsys, word):
+    # int(..., 2) would accept several of these; none may get through
+    good = "l" * max(len(word), 1)
+    for call in (lambda: distance(word, good), lambda: distance(good, word),
+                 lambda: corner_distances(word)):
+        with pytest.raises(DomainError):
+            call()
+    level = str(len(good))
+    for argv in (("dist", "--level", level, word, good),
+                 ("dist", "--level", level, good, word), ("corners", word)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
 
 def test_usage_error_exits_two(capsys):
@@ -153,6 +172,7 @@ def test_bench_smoke(capsys):
                        "--seed", "3")
     assert code == 0
     assert "level=4 pairs=5 seed=3" in out
+    assert "kernel_s=" in out and "backend" not in out
     assert "match=yes" in out
     assert "speedup=" in out
 

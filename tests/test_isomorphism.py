@@ -1,7 +1,5 @@
-import pytest
-
-from trigasket.isomorphism import decide_iso, degree_two_census, finite_level_check
-from trigasket.word import DomainError, Permutation, WordSpec, apply_permutation, orbit
+from trigasket.isomorphism import decide_iso, degree_two_census
+from trigasket.word import Permutation, WordSpec, apply_permutation, orbit
 
 
 def test_constant_words_are_isomorphic():
@@ -63,19 +61,6 @@ def test_census_is_an_isomorphism_invariant():
         for w in words:
             if decide_iso(v, w).isomorphic:
                 assert degree_two_census(v)[0] == degree_two_census(w)[0]
-
-
-def test_finite_level_check_holds_for_isomorphic_pairs():
-    for v, w in (("(l)", "(u)"), ("(lr)", "(rl)"), ("(ul)", "(ul)")):
-        for n in range(1, 7):
-            assert finite_level_check(v, w, n)
-
-
-def test_finite_level_check_guards():
-    with pytest.raises(DomainError, match="scale cap"):
-        finite_level_check("(l)", "(u)", 13)
-    with pytest.raises(DomainError):
-        finite_level_check("(l)", "(u)", 0)
 
 
 def test_relabelled_words_give_isomorphic_graphs():
